@@ -8,6 +8,7 @@
 //   - pos/neg ratio balancing on vs off (node-time spread)
 //   - one Cascade pass vs two
 //   - kernel row-cache capacity sweep
+//   - Dis-SMO's per-rank cache of broadcast-pair kernel columns
 package casvm
 
 import (
@@ -178,3 +179,30 @@ func benchThreads(b *testing.B, threads int) {
 
 func BenchmarkAblationThreads1(b *testing.B) { benchThreads(b, 1) }
 func BenchmarkAblationThreads4(b *testing.B) { benchThreads(b, 4) }
+
+// Dis-SMO recomputes nothing it has seen before: each rank caches the
+// broadcast pair's kernel columns over its block by global sample index.
+// The ijcnn shape at half scale over 8 single-threaded ranks is the
+// dense-suite configuration in miniature; iterations and modeled flops
+// are reported so a wall-time change can be told apart from a numerics one.
+func BenchmarkAblationDisSMO(b *testing.B) {
+	d, entry, err := data.Load("ijcnn", 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := core.DefaultParams(core.MethodDisSMO, 8)
+	p.C = entry.C
+	p.Kernel = kernel.RBF(entry.GammaOrDefault())
+	p.Threads = 1
+	var st core.Stats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := core.Train(d.X, d.Y, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st = out.Stats
+	}
+	b.ReportMetric(float64(st.Iters), "iterations")
+	b.ReportMetric(st.TotalFlops, "flops")
+}

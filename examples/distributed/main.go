@@ -82,6 +82,7 @@ import (
 
 	"casvm"
 	"casvm/internal/cluster"
+	"casvm/internal/core"
 	"casvm/internal/faults"
 	"casvm/internal/model"
 	"casvm/internal/tcpmpi"
@@ -576,25 +577,10 @@ func writeMergedTrace(col *fleet.Collector, lo launchOpts, stamp func(string, ..
 	return nil
 }
 
-// shardRows returns the deterministic row range of rank r's resident shard
-// of an m-sample dataset split over p ranks.
-func shardRows(m, p, r int) []int {
-	per := m / p
-	lo, hi := r*per, (r+1)*per
-	if r == p-1 {
-		hi = m
-	}
-	rows := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		rows = append(rows, i)
-	}
-	return rows
-}
-
 // trainShard trains rank r's resident shard on a single-rank in-process
 // world and returns the serialized model file plus the run stats.
 func trainShard(ds *casvm.Dataset, entry casvm.DatasetEntry, r, p int) ([]byte, casvm.Stats, error) {
-	rows := shardRows(ds.M(), p, r)
+	rows := core.ShardRows(ds.M(), p, r)
 	localX := ds.X.Subset(rows)
 	localY := make([]float64, len(rows))
 	for k, i := range rows {
@@ -724,7 +710,7 @@ func runWorker(rank int, addrs []string, o workerOpts) {
 		_ = rep.ShipMetrics(mreg)
 	}
 	fmt.Printf("rank %d: trained on %d samples, %d SVs, %d iterations\n",
-		rank, len(shardRows(ds.M(), p, rank)), st.SVs, st.Iters)
+		rank, len(core.ShardRows(ds.M(), p, rank)), st.SVs, st.Iters)
 
 	if dieAfter > 0 {
 		// Injected crash: hold the connection open until the deadline so
@@ -798,7 +784,7 @@ func runWorker(rank int, addrs []string, o workerOpts) {
 		set.Models = append(set.Models, ms.Models[0])
 		// Center = mean of the rank's shard (eqn 14), recomputed here
 		// from the deterministic shard definition.
-		centerData = append(centerData, ds.X.Mean(shardRows(ds.M(), p, s.rank))...)
+		centerData = append(centerData, ds.X.Mean(core.ShardRows(ds.M(), p, s.rank))...)
 	}
 	set.Centers = newDense(len(shards), ds.Features(), centerData)
 	acc := set.Accuracy(ds.TestX, ds.TestY)

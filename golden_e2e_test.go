@@ -54,34 +54,56 @@ func TestGoldenEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range golden {
-		for _, threads := range []int{1, 2, 4} {
-			pr := goldenParams(g.method, g.p, threads)
-			if threads == 1 {
-				pr.Timeline = NewTimeline(g.p)
-			}
-			out, err := Train(ds.X, ds.Y, pr)
-			if err != nil {
-				t.Fatalf("%s threads=%d: %v", g.method, threads, err)
-			}
-			rep, err := BuildReport(out, pr, "toy", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.ModelHash != g.hash {
-				t.Errorf("%s threads=%d: model hash %s, want %s",
-					g.method, threads, rep.ModelHash, g.hash)
-			}
-			if rep.Iters != g.iters {
-				t.Errorf("%s threads=%d: iters %d, want %d",
-					g.method, threads, rep.Iters, g.iters)
-			}
-			if rep.TotalFlops != g.flops {
-				t.Errorf("%s threads=%d: flops %v, want %v",
-					g.method, threads, rep.TotalFlops, g.flops)
-			}
-			if threads == 1 {
-				checkCritPath(t, string(g.method), pr, out.Stats.TotalSec, rep.CritPath)
-			}
+		checkGolden(t, ds, RBF(0.5), g)
+	}
+}
+
+// TestGoldenSparseDisSMO pins Dis-SMO on CSR data: a webspam-shaped sample
+// with 2048 features at 2% density, so the broadcast pair rows and the
+// local blocks both take the sparse kernel paths. The constants were taken
+// before Dis-SMO's pair columns were cached, so they hold the cached
+// solver to the uncached one's numerics bit for bit.
+func TestGoldenSparseDisSMO(t *testing.T) {
+	ds, entry, err := LoadDataset("webspam", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, ds, RBF(entry.GammaOrDefault()),
+		goldenRun{MethodDisSMO, 4, "106bc8cf946ef31deefcae290d9180a3e6cc058465a94c6d0bf99c2dc2680123", 425, 2.1420603e+07})
+}
+
+// checkGolden trains one golden configuration at Threads = 1, 2 and 4 and
+// compares its fingerprint (see TestGoldenEndToEnd).
+func checkGolden(t *testing.T, ds *Dataset, k Kernel, g goldenRun) {
+	t.Helper()
+	for _, threads := range []int{1, 2, 4} {
+		pr := goldenParams(g.method, g.p, threads)
+		pr.Kernel = k
+		if threads == 1 {
+			pr.Timeline = NewTimeline(g.p)
+		}
+		out, err := Train(ds.X, ds.Y, pr)
+		if err != nil {
+			t.Fatalf("%s threads=%d: %v", g.method, threads, err)
+		}
+		rep, err := BuildReport(out, pr, ds.Name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.ModelHash != g.hash {
+			t.Errorf("%s threads=%d: model hash %s, want %s",
+				g.method, threads, rep.ModelHash, g.hash)
+		}
+		if rep.Iters != g.iters {
+			t.Errorf("%s threads=%d: iters %d, want %d",
+				g.method, threads, rep.Iters, g.iters)
+		}
+		if rep.TotalFlops != g.flops {
+			t.Errorf("%s threads=%d: flops %v, want %v",
+				g.method, threads, rep.TotalFlops, g.flops)
+		}
+		if threads == 1 {
+			checkCritPath(t, string(g.method), pr, out.Stats.TotalSec, rep.CritPath)
 		}
 	}
 }

@@ -153,6 +153,12 @@ type Params struct {
 	// method implementations (nil when Recovery.Policy is off).
 	rt *recoveryRuntime
 
+	// disSMOCacheRows overrides the capacity of Dis-SMO's pair-column
+	// cache (0 keeps the solver default). Settable only from package
+	// tests: every capacity gives bit-identical results, and the lockstep
+	// test needs one small enough to evict on most misses.
+	disSMOCacheRows int
+
 	// Telemetry, when non-nil, receives one sample per solver iteration
 	// from every rank (dual objective, KKT gap, active-set/SV counts,
 	// shrink sweeps) — the live-convergence stream served by the `-serve`
@@ -458,6 +464,11 @@ func evenBlocks(m, p int) [][]int {
 		out[r] = rows
 	}
 	return out
+}
+
+// blockStart returns the first row of rank r's block under evenBlocks(m, p).
+func blockStart(m, p, r int) int {
+	return r*(m/p) + min(r, m%p)
 }
 
 // subsetF64 gathers y[rows].

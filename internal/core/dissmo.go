@@ -22,6 +22,13 @@ import (
 //  4. every rank evaluates the identical clipped pair update and applies
 //     it to its local f (the 2mn/P compute term).
 //
+// Step 4 needs the pair's kernel columns over the rank's block. Each rank
+// caches them by the samples' global row index: every rank sees the same
+// pair sequence and holds a cache of the same capacity, so the caches hit
+// and miss in lockstep, and a column never changes because its owner
+// broadcasts the same row each time. The cache saves wall time only; the
+// virtual clock still charges both columns every iteration.
+//
 // The result is bitwise the trajectory of serial SMO on the full set, up to
 // the float32 wire rounding of the initial scatter.
 func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *rankResult) error {
@@ -39,18 +46,15 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *r
 	// The rank's first global row: Dis-SMO checkpoints live in global row
 	// space, so deposits and restores address the epoch arrays by offset.
 	// Any contiguous block layout (any P) slices the same arrays, which is
-	// what lets shrink recovery re-partition without conversion.
-	rowStart := 0
-	for r, rows := range evenBlocks(full.Rows(), c.Size()) {
-		if r == c.Rank() {
-			break
-		}
-		rowStart += len(rows)
-	}
+	// what lets shrink recovery re-partition without conversion. Global
+	// rows also key the pair-column cache.
+	m := full.Rows()
+	rowStart := blockStart(m, c.Size(), c.Rank())
 
 	c.SetPhase("solve")
 	spSolve := rec.BeginVirt(trace.CatTrain, "solve", c.Clock())
-	cfg := p.solverConfig()
+	cfg := p.solverConfigAt(c.Rank())
+	cfg.CacheRows = p.disSMOCacheRows
 	startIter := 0
 	if rt := p.rt; rt != nil {
 		if epoch, ga, gf, ok := rt.store.consistentDis(); ok {
@@ -65,7 +69,7 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *r
 			}
 		}
 	}
-	solver, err := smo.New(local.x, local.y, cfg, nil)
+	solver, err := smo.NewDistributed(local.x, local.y, cfg, m)
 	if err != nil {
 		return err
 	}
@@ -79,8 +83,6 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *r
 		tol = 1e-3
 	}
 
-	bufH := make([]float64, local.x.Rows())
-	bufL := make([]float64, local.x.Rows())
 	iters := startIter
 	lastDep := startIter
 	for iters < maxIter {
@@ -139,16 +141,17 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *r
 		if c.Rank() == int(low.Rank) {
 			solver.AddAlpha(int(low.Index), dal)
 		}
-		// One fused sweep over the local block computes both cross-kernel
-		// columns (bit-identical to the two sequential updates it replaces).
-		solver.ApplyExternalPair(highP.x, 0, highP.y[0], dah,
-			lowP.x, 0, lowP.y[0], dal, bufH, bufL)
+		solver.ApplyExternalPair(blockStart(m, c.Size(), int(high.Rank))+int(high.Index),
+			highP.x, 0, highP.y[0], dah,
+			blockStart(m, c.Size(), int(low.Rank))+int(low.Index),
+			lowP.x, 0, lowP.y[0], dal)
 		c.Charge(solver.TakeFlops())
 		iters++
 	}
 	out.iters = iters
 	out.trainSec = c.Clock() - out.initSec
 	rec.EndVirt(spSolve, c.Clock())
+	solver.RecordMetrics()
 	c.SetPhase("assemble")
 
 	// Assemble the global model at rank 0: gather (SV rows, y, α, local

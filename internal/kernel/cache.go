@@ -18,6 +18,11 @@ import (
 // a miss recomputes one row in place — no container/list element boxing, no
 // per-miss make, nothing for the garbage collector to trace.
 //
+// A keyed cache (NewKeyedRowCache) decouples the key space from the row
+// length: distributed SMO keys each rank's cached columns K(x_k, X_local)
+// by the global index k of a broadcast sample, and fills misses itself
+// through Lookup and Claim.
+//
 // RowCache is not safe for concurrent use; each solver owns one.
 type RowCache struct {
 	params Params
@@ -27,8 +32,8 @@ type RowCache struct {
 	m        int // row length = data.Rows()
 	threads  int // intra-node workers for row fills
 
-	slotOf []int32   // sample index -> slot, or -1
-	rowOf  []int32   // slot -> sample index, or -1 while unused
+	slotOf []int32   // key -> slot, or -1
+	rowOf  []int32   // slot -> key, or -1 while unused
 	next   []int32   // slot -> next (toward LRU), -1 at tail
 	prev   []int32   // slot -> prev (toward MRU), -1 at head
 	head   int32     // most recently used slot, -1 when empty
@@ -43,7 +48,7 @@ type RowCache struct {
 
 	// Stats.
 	hits, misses int64
-	flops        float64 // flops charged by misses
+	flops        float64 // flops charged by Row and PrefetchPair fills
 
 	// rec, when non-nil, records a timeline span per miss (the
 	// kernel-row fill is the solver's dominant non-O(m) cost).
@@ -69,19 +74,28 @@ func (c *RowCache) SetRecorder(rec *trace.Recorder) { c.rec = rec }
 // once). The whole block is allocated up front; untouched pages cost only
 // virtual address space.
 func NewRowCache(p Params, data *la.Matrix, capacity int) *RowCache {
+	return NewKeyedRowCache(p, data, data.Rows(), capacity)
+}
+
+// NewKeyedRowCache is NewRowCache with keys in [0, keys) instead of the
+// row indices of data; every cached row still has length data.Rows().
+// Capacity is clamped to [2, keys]. Row and PrefetchPair compute K(i, ·)
+// for key i, so on a cache whose key space differs from data's rows only
+// Lookup and Claim apply.
+func NewKeyedRowCache(p Params, data *la.Matrix, keys, capacity int) *RowCache {
 	if capacity < 2 {
 		capacity = 2
 	}
-	m := data.Rows()
-	if capacity > m && m >= 2 {
-		capacity = m
+	if capacity > keys && keys >= 2 {
+		capacity = keys
 	}
+	m := data.Rows()
 	c := &RowCache{
 		params:   p,
 		data:     data,
 		capacity: capacity,
 		m:        m,
-		slotOf:   make([]int32, m),
+		slotOf:   make([]int32, keys),
 		rowOf:    make([]int32, capacity),
 		next:     make([]int32, capacity),
 		prev:     make([]int32, capacity),
@@ -128,21 +142,48 @@ func (c *RowCache) pushFront(s int32) {
 	}
 }
 
-// Row returns the kernel row K(i, ·) of length data.Rows(). The returned
-// slice is owned by the cache and must not be modified; it stays valid
-// until its entry is evicted (SMO's two live rows per iteration are safe
-// for any capacity ≥ 2).
-func (c *RowCache) Row(i int) []float64 {
-	if s := c.slotOf[i]; s >= 0 {
-		c.hits++
-		if c.head != s {
-			c.unlink(s)
-			c.pushFront(s)
-		}
-		return c.block[int(s)*c.m : int(s)*c.m+c.m]
+// touch makes the resident slot s the most recently used.
+func (c *RowCache) touch(s int32) {
+	if c.head != s {
+		c.unlink(s)
+		c.pushFront(s)
 	}
+}
+
+// Lookup returns the row cached under key, counting a hit and making it
+// the most recently used; ok is false, and nothing is counted, when the
+// key is absent. The row is owned by the cache and must not be modified;
+// it stays valid until its entry is evicted.
+func (c *RowCache) Lookup(key int) (row []float64, ok bool) {
+	s := c.slotOf[key]
+	if s < 0 {
+		return nil, false
+	}
+	c.hits++
+	c.touch(s)
+	return c.block[int(s)*c.m : int(s)*c.m+c.m], true
+}
+
+// Claim counts a miss for the absent key and assigns it a slot, evicting
+// the least recently used entry once the cache is full. It returns the
+// slot's storage of length data.Rows(), which the caller must fill before
+// the next lookup of key; the caller also accounts for the fill's flops.
+// The claimed slot is the most recently used, so with capacity ≥ 2 a
+// second claim cannot evict it.
+func (c *RowCache) Claim(key int) []float64 {
 	c.misses++
-	row := c.slotFor(i)
+	return c.slotFor(key)
+}
+
+// Row returns the kernel row K(i, ·) of length data.Rows(), filling it on
+// a miss. The returned slice is owned by the cache and must not be
+// modified; it stays valid until its entry is evicted (SMO's two live rows
+// per iteration are safe for any capacity ≥ 2).
+func (c *RowCache) Row(i int) []float64 {
+	if row, ok := c.Lookup(i); ok {
+		return row
+	}
+	row := c.Claim(i)
 	sp := c.rec.Begin(trace.CatKernel, "row-fill")
 	f := c.params.RowParallel(c.data, i, row, c.threads)
 	c.rec.EndFlops(sp, f)
@@ -150,7 +191,7 @@ func (c *RowCache) Row(i int) []float64 {
 	return row
 }
 
-// slotFor acquires a slot for the uncached sample i — reusing the LRU
+// slotFor acquires a slot for the uncached key i — reusing the LRU
 // victim's slot once the cache is full — updates both index maps, and
 // makes the slot most-recently-used immediately, so a second acquisition
 // in the same batch cannot evict it (capacity ≥ 2 guarantees a distinct
@@ -183,25 +224,17 @@ func (c *RowCache) PrefetchPair(i, j int) {
 	c.prefRows = c.prefRows[:0]
 	c.prefDst = c.prefDst[:0]
 	if s := c.slotOf[i]; s >= 0 {
-		if c.head != s {
-			c.unlink(s)
-			c.pushFront(s)
-		}
+		c.touch(s)
 	} else {
-		c.misses++
 		c.prefRows = append(c.prefRows, i)
-		c.prefDst = append(c.prefDst, c.slotFor(i))
+		c.prefDst = append(c.prefDst, c.Claim(i))
 	}
 	if j != i {
 		if s := c.slotOf[j]; s >= 0 {
-			if c.head != s {
-				c.unlink(s)
-				c.pushFront(s)
-			}
+			c.touch(s)
 		} else {
-			c.misses++
 			c.prefRows = append(c.prefRows, j)
-			c.prefDst = append(c.prefDst, c.slotFor(j))
+			c.prefDst = append(c.prefDst, c.Claim(j))
 		}
 	}
 	if len(c.prefRows) == 0 {
@@ -233,7 +266,8 @@ func (c *RowCache) Diag(i int) float64 {
 	return c.diag[i]
 }
 
-// Stats returns (hits, misses, flops charged by misses).
+// Stats returns (hits, misses, flops charged by Row and PrefetchPair
+// fills). Rows filled by a Claim caller are not in the flop count.
 func (c *RowCache) Stats() (hits, misses int64, flops float64) {
 	return c.hits, c.misses, c.flops
 }

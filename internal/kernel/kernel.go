@@ -265,13 +265,6 @@ func (p Params) CrossRow(a *la.Matrix, b *la.Matrix, j int, dst []float64) float
 		a.EnsureNorms()
 		b.EnsureNorms()
 	}
-	var nnzJ int
-	if b.Sparse() {
-		ji, _ := b.SparseRow(j)
-		nnzJ = len(ji)
-	} else {
-		nnzJ = b.Features()
-	}
 	switch {
 	case a.Sparse() && b.Sparse():
 		ji, jv := b.SparseRow(j)
@@ -311,8 +304,19 @@ func (p Params) CrossRow(a *la.Matrix, b *la.Matrix, j int, dst []float64) float
 		}
 		putScratch(buf)
 	}
-	// Charge actual stored entries on the a side — a.NNZ() is m·Features()
-	// for dense but the true nonzero count for sparse, mirroring Row's
-	// nnz-based accounting instead of the dense upper bound.
-	return float64(a.NNZ() + (nnzJ+1)*m)
+	return CrossRowFlops(a, b, j)
+}
+
+// CrossRowFlops is the flop count CrossRow(a, b, j, ·) charges, without
+// computing the column: the actual stored entries on the a side — a.NNZ()
+// is m·Features() for dense but the true nonzero count for sparse,
+// mirroring Row's nnz-based accounting instead of the dense upper bound —
+// plus (nnz(b_j)+1)·m.
+func CrossRowFlops(a, b *la.Matrix, j int) float64 {
+	nnzJ := b.Features()
+	if b.Sparse() {
+		ji, _ := b.SparseRow(j)
+		nnzJ = len(ji)
+	}
+	return float64(a.NNZ() + (nnzJ+1)*a.Rows())
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"container/list"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -157,5 +158,72 @@ func TestDiagCacheMatchesEval(t *testing.T) {
 	g := NewRowCache(RBF(0.1), a, 4)
 	if g.Diag(3) != 1 {
 		t.Fatal("gaussian diag must be exactly 1")
+	}
+}
+
+// TestKeyedLRUMatchesReference drives a keyed cache — key space (the rows
+// of a wider matrix b) larger than the row length (the rows of a), as on a
+// Dis-SMO rank — through Lookup and Claim, filling each claimed slot with
+// the cross column K(b_key, a), beside the reference LRU. Rows, hit and
+// miss counts and the full LRU order must agree after every access, at
+// capacity 2 (an eviction on most misses) and at a capacity past the key
+// space (clamped; nothing is ever evicted).
+func TestKeyedLRUMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, sparse := range []bool{false, true} {
+		b := denseMat(rng, 90, 9)
+		if sparse {
+			b = sparseMat(rng, 90, 30, 0.3)
+		}
+		rows := make([]int, 35)
+		for i := range rows {
+			rows[i] = 20 + i
+		}
+		a := b.Subset(rows)
+		p := RBF(0.25)
+		fill := func(k int, dst []float64) float64 { return p.CrossRow(a, b, k, dst) }
+		for _, capacity := range []int{2, b.Rows() + 3} {
+			c := NewKeyedRowCache(p, a, b.Rows(), capacity)
+			ref := newRefLRU(min(capacity, b.Rows()), a.Rows(), fill)
+			var flops float64
+			for step := 0; step < 3000; step++ {
+				k := rng.Intn(12)
+				if rng.Intn(3) == 0 {
+					k = rng.Intn(b.Rows())
+				}
+				got, ok := c.Lookup(k)
+				if !ok {
+					got = c.Claim(k)
+					flops += fill(k, got)
+				}
+				want := ref.Row(k, a.Rows())
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("cap=%d step=%d key %d: col %d %v != %v",
+							capacity, step, k, j, got[j], want[j])
+					}
+				}
+				var order []int
+				for s := c.head; s >= 0; s = c.next[s] {
+					order = append(order, int(c.rowOf[s]))
+				}
+				var refOrder []int
+				for el := ref.lru.Front(); el != nil; el = el.Next() {
+					refOrder = append(refOrder, el.Value.(*refEntry).index)
+				}
+				if fmt.Sprint(order) != fmt.Sprint(refOrder) {
+					t.Fatalf("cap=%d step=%d: LRU order %v, reference %v", capacity, step, order, refOrder)
+				}
+			}
+			h, m, f := c.Stats()
+			if h != ref.hits || m != ref.misses || f != 0 || flops != ref.flops {
+				t.Fatalf("cap=%d sparse=%v: stats (%d,%d,%g) fills %g != ref (%d,%d) fills %g",
+					capacity, sparse, h, m, f, flops, ref.hits, ref.misses, ref.flops)
+			}
+			if capacity > b.Rows() && (c.Len() != b.Rows() || ref.misses != int64(b.Rows())) {
+				t.Fatalf("cap=%d: %d resident after %d misses, want every one of %d keys once",
+					capacity, c.Len(), ref.misses, b.Rows())
+			}
+		}
 	}
 }

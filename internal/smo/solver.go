@@ -6,8 +6,8 @@
 // repository.
 //
 // The solver exposes both a one-shot Solve and the per-iteration primitives
-// (LocalExtremes, PairDeltas, ApplyUpdate) that distributed SMO composes
-// with allreduce operations.
+// (LocalExtremes, AddAlpha, ApplyExternalPair on a NewDistributed solver)
+// that distributed SMO composes with allreduce operations.
 package smo
 
 import (
@@ -31,7 +31,8 @@ type Config struct {
 	// MaxIter caps iterations; 0 means 100·m + 10000, mirroring common
 	// SMO implementations' safety limits.
 	MaxIter int
-	// CacheRows bounds the kernel-row LRU cache; 0 means min(m, 1024).
+	// CacheRows bounds the kernel-row LRU cache; 0 means min(m, 1024), or
+	// min(keys, 1024) for a NewDistributed solver's column cache.
 	CacheRows int
 	// Kernel selects the kernel function.
 	Kernel kernel.Params
@@ -190,6 +191,20 @@ type Solver struct {
 // length must equal x.Rows()). Warm starting rebuilds the f vector from the
 // nonzero multipliers, which is how Cascade/DC layers inherit state.
 func New(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Solver, error) {
+	return newSolver(x, y, cfg, warm, x.Rows())
+}
+
+// NewDistributed prepares the solver for one rank's block of a distributed
+// SMO, whose working pairs arrive by broadcast (ApplyExternalPair). Its
+// kernel cache holds cross columns K(x_k, x) for pair samples keyed by
+// their global index k in [0, keys) instead of local kernel rows, so the
+// local-pair methods (Step, PairDeltas, UpdateF) do not apply.
+func NewDistributed(x *la.Matrix, y []float64, cfg Config, keys int) (*Solver, error) {
+	return newSolver(x, y, cfg, nil, keys)
+}
+
+// newSolver is New with a kernel cache over keys in [0, keys).
+func newSolver(x *la.Matrix, y []float64, cfg Config, warm []float64, keys int) (*Solver, error) {
 	m := x.Rows()
 	if len(y) != m {
 		return nil, fmt.Errorf("smo: %d samples but %d labels", m, len(y))
@@ -210,10 +225,7 @@ func New(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Solver, error)
 	}
 	cacheRows := cfg.CacheRows
 	if cacheRows <= 0 {
-		cacheRows = 1024
-		if m < cacheRows {
-			cacheRows = m
-		}
+		cacheRows = min(keys, 1024)
 	}
 	s := &Solver{
 		x:     x,
@@ -221,7 +233,7 @@ func New(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Solver, error)
 		cfg:   cfg,
 		alpha: make([]float64, m),
 		f:     make([]float64, m),
-		cache: kernel.NewRowCache(cfg.Kernel, x, cacheRows),
+		cache: kernel.NewKeyedRowCache(cfg.Kernel, x, keys, cacheRows),
 		rec:   cfg.Trace,
 	}
 	s.cache.SetThreads(cfg.Threads)
@@ -440,31 +452,53 @@ func (s *Solver) UpdateF(iHigh, iLow int, u PairUpdate) {
 	s.flops += float64(4 * len(s.f))
 }
 
-// ApplyExternalUpdate is the distributed variant of UpdateF: the high/low
-// samples live in ext (a 1- or 2-row matrix) and may not be local rows.
-// Local alpha changes (when this rank owns the sample) must be applied
-// separately via AddAlpha.
-func (s *Solver) ApplyExternalUpdate(ext *la.Matrix, extIdx int, yExt, dAlpha float64, buf []float64) {
+// ApplyExternalPair is the distributed variant of UpdateF, for a solver
+// built by NewDistributed: the pair samples are row hIdx of extH and row
+// lIdx of extL (broadcast rows, not necessarily local), with global keys
+// keyH and keyL. f receives Δα_high·y_high·K(high, ·) and then
+// Δα_low·y_low·K(low, ·), and the iteration count advances. Local alpha
+// changes (when this rank owns a sample) are applied separately via
+// AddAlpha.
+//
+// The cross columns come from the key-addressed cache, in the order
+// Row(high), Row(low) would visit it: when both miss they are filled by
+// one fused sweep over the local matrix (kernel.Params.CrossRowPair), when
+// one misses by CrossRow, and when neither misses nothing is computed.
+// Every fill is bit-identical to the uncached computation, because a key
+// always names the same sample. The flop charge is the uncached two-column
+// cost whether or not the cache hits — the 2mn/P compute term of the
+// paper's eqn (9) — so virtual time does not depend on the cache; the
+// "row-fill" spans carry the flops actually computed.
+func (s *Solver) ApplyExternalPair(keyH int, extH *la.Matrix, hIdx int, yH, dAH float64,
+	keyL int, extL *la.Matrix, lIdx int, yL, dAL float64) {
 	s.invalidateExtremes()
-	s.flops += s.cfg.Kernel.CrossRow(s.x, ext, extIdx, buf)
-	la.Axpy(dAlpha*yExt, buf[:len(s.f)], s.f)
+	colH, hitH := s.cache.Lookup(keyH)
+	if !hitH {
+		colH = s.cache.Claim(keyH)
+	}
+	colL, hitL := s.cache.Lookup(keyL)
+	if !hitL {
+		colL = s.cache.Claim(keyL)
+	}
+	if !hitH || !hitL {
+		sp := s.rec.Begin(trace.CatKernel, "row-fill")
+		var f float64
+		switch {
+		case !hitH && !hitL:
+			f = s.cfg.Kernel.CrossRowPair(s.x, extH, hIdx, extL, lIdx, colH, colL)
+		case !hitH:
+			f = s.cfg.Kernel.CrossRow(s.x, extH, hIdx, colH)
+		default:
+			f = s.cfg.Kernel.CrossRow(s.x, extL, lIdx, colL)
+		}
+		s.rec.EndFlops(sp, f)
+	}
+	s.flops += kernel.CrossRowFlops(s.x, extH, hIdx) + kernel.CrossRowFlops(s.x, extL, lIdx)
+	la.Axpy(dAH*yH, colH, s.f)
 	s.flops += float64(2 * len(s.f))
-}
-
-// ApplyExternalPair applies both halves of a distributed pair update in one
-// pass: the two cross-kernel columns are computed by a single fused sweep
-// over the local matrix (kernel.Params.CrossRowPair) and f receives both
-// axpy contributions in high-then-low order. Results and flop charges are
-// bit-identical to ApplyExternalUpdate for the high sample followed by
-// ApplyExternalUpdate for the low sample.
-func (s *Solver) ApplyExternalPair(extH *la.Matrix, hIdx int, yH, dAH float64,
-	extL *la.Matrix, lIdx int, yL, dAL float64, bufH, bufL []float64) {
-	s.invalidateExtremes()
-	s.flops += s.cfg.Kernel.CrossRowPair(s.x, extH, hIdx, extL, lIdx, bufH, bufL)
-	la.Axpy(dAH*yH, bufH[:len(s.f)], s.f)
+	la.Axpy(dAL*yL, colL, s.f)
 	s.flops += float64(2 * len(s.f))
-	la.Axpy(dAL*yL, bufL[:len(s.f)], s.f)
-	s.flops += float64(2 * len(s.f))
+	s.iters++
 }
 
 // AddAlpha adds d to alpha[i], clipping to [0, C_i] and snapping edge dust.
@@ -614,7 +648,7 @@ func Solve(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Result, erro
 		cfg.CheckpointSink(ck)
 	}
 	b := s.Bias()
-	s.recordMetrics()
+	s.RecordMetrics()
 	return &Result{
 		Alpha:     s.alpha,
 		B:         b,
@@ -624,10 +658,11 @@ func Solve(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Result, erro
 	}, nil
 }
 
-// recordMetrics publishes end-of-solve counters (iterations, row-cache
+// RecordMetrics publishes end-of-solve counters (iterations, row-cache
 // hits/misses — the hit rate is their ratio) into cfg.Metrics; a nil
-// registry records nothing.
-func (s *Solver) recordMetrics() {
+// registry records nothing. Solve calls it itself; a caller driving the
+// solver step by step (distributed SMO) calls it once when done.
+func (s *Solver) RecordMetrics() {
 	reg := s.cfg.Metrics
 	if reg == nil {
 		return

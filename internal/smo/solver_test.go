@@ -327,35 +327,50 @@ func TestSparseDenseSameSolution(t *testing.T) {
 	}
 }
 
+// TestApplyExternalUpdateMatchesLocal drives a NewDistributed solver
+// through the pairs a local solver picks — single-rank Dis-SMO, where the
+// global keys are the local rows — and demands the same f and alpha after
+// every step. A 4-column cache mixes hits, misses and evictions.
 func TestApplyExternalUpdateMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x, y := twoBlobs(rng, 15, 2, 0.5)
 	cfg := defaultCfg()
 	a, _ := New(x, y, cfg, nil)
-	b, _ := New(x, y, cfg, nil)
+	cfg.CacheRows = 4
+	b, err := NewDistributed(x, y, cfg, x.Rows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := 0
+	for ; steps < 200; steps++ {
+		bh, ih, bl, il := a.LocalExtremes()
+		if ih < 0 || il < 0 || bl-bh < 2*cfg.tol() {
+			break
+		}
+		// One local step on a, the same step on b via the external path.
+		u := a.PairDeltas(ih, il)
+		a.UpdateF(ih, il, u)
+		b.AddAlpha(ih, u.DAlphaHigh)
+		b.AddAlpha(il, u.DAlphaLow)
+		b.ApplyExternalPair(ih, x, ih, y[ih], u.DAlphaHigh, il, x, il, y[il], u.DAlphaLow)
 
-	// One local step on a.
-	bh, ih, bl, il := a.LocalExtremes()
-	_ = bh
-	_ = bl
-	u := a.PairDeltas(ih, il)
-	a.UpdateF(ih, il, u)
-
-	// Same step on b via the external-update path.
-	b.AddAlpha(ih, u.DAlphaHigh)
-	b.AddAlpha(il, u.DAlphaLow)
-	buf := make([]float64, x.Rows())
-	b.ApplyExternalUpdate(x, ih, y[ih], u.DAlphaHigh, buf)
-	b.ApplyExternalUpdate(x, il, y[il], u.DAlphaLow, buf)
-
-	for i := range a.F() {
-		if math.Abs(a.F()[i]-b.F()[i]) > 1e-9 {
-			t.Fatalf("f[%d] %v vs %v", i, a.F()[i], b.F()[i])
+		for i := range a.F() {
+			if math.Abs(a.F()[i]-b.F()[i]) > 1e-9 {
+				t.Fatalf("step %d: f[%d] %v vs %v", steps, i, a.F()[i], b.F()[i])
+			}
+		}
+		for i := range a.Alpha() {
+			if math.Abs(a.Alpha()[i]-b.Alpha()[i]) > 1e-12 {
+				t.Fatalf("step %d: alpha[%d] %v vs %v", steps, i, a.Alpha()[i], b.Alpha()[i])
+			}
 		}
 	}
-	for i := range a.Alpha() {
-		if math.Abs(a.Alpha()[i]-b.Alpha()[i]) > 1e-12 {
-			t.Fatalf("alpha[%d] %v vs %v", i, a.Alpha()[i], b.Alpha()[i])
-		}
+	hits, misses, _ := b.cache.Stats()
+	if b.Iters() != steps || hits+misses != int64(2*steps) {
+		t.Fatalf("%d steps: iters %d, hits %d + misses %d", steps, b.Iters(), hits, misses)
+	}
+	if hits == 0 || misses <= 4 {
+		t.Fatalf("%d steps gave %d hits, %d misses: the cache never hit or never evicted",
+			steps, hits, misses)
 	}
 }
