@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-matrix vet check fuzz fuzz-smoke bench bench-kernel bench-e2e bench-serve bench-diff serve-smoke soak soak-cluster cover
+.PHONY: build test race race-matrix vet check fuzz fuzz-smoke bench bench-kernel bench-e2e bench-serve bench-diff serve-smoke demo-smoke soak soak-cluster cover
 
 build:
 	$(GO) build ./...
@@ -39,12 +39,19 @@ serve-smoke:
 	$(GO) test -race -count=1 -run 'TestServe' ./internal/telemetry
 	$(GO) test -race -count=1 ./internal/serve
 
+# demo-smoke runs the distributed example end to end: a coordinator
+# gang-schedules a Remote job onto two forked executor processes, kill -9s
+# one mid-epoch, and exits non-zero unless the recovered ModelHash equals
+# the fault-free one.
+demo-smoke:
+	$(GO) run ./examples/distributed -cluster -p 2
+
 # check is the full verification gate: vet, the whole suite under the race
 # detector (which includes the TestChaosMatrix fault smoke: six methods ×
 # crash/drop+delay/corrupt under respawn recovery), the 1/4-CPU race matrix
-# over the concurrency-heavy packages, the fuzz seed corpora, and the
-# live-server smoke run.
-check: vet race race-matrix fuzz-smoke serve-smoke
+# over the concurrency-heavy packages, the fuzz seed corpora, the
+# live-server smoke run, and the distributed example's kill -9 demo.
+check: vet race race-matrix fuzz-smoke serve-smoke demo-smoke
 
 # soak is the randomized chaos soak: seeded random fault schedules over
 # every method family and both recovery policies, each run checked for
@@ -60,12 +67,11 @@ soak:
 # soak then repeats the exercise with real executor processes — Remote jobs
 # train on forked workers while the churn loop kill -9s and replaces them,
 # and every completed job must land on its fault-free ModelHash. The fleet
-# soak then forks the real 4-process examples/distributed launcher with an
-# injected straggler and asserts the merged fleet trace is produced, parses
-# strictly, and analyzes end-to-end.
+# soak then runs a Remote job on four forked executor processes, one slowed
+# by an injected per-iteration delay, and asserts the straggler is flagged
+# and the merged fleet trace parses strictly and analyzes end-to-end.
 soak-cluster:
-	CASVM_SOAK_CLUSTER=1 $(GO) test -count=1 -timeout 300s -run 'TestClusterSoak|TestRemoteSoak' -v ./internal/cluster
-	CASVM_SOAK_CLUSTER=1 $(GO) test -count=1 -timeout 300s -run TestFleetSoak -v ./internal/telemetry/fleet
+	CASVM_SOAK_CLUSTER=1 $(GO) test -count=1 -timeout 300s -run 'TestClusterSoak|TestRemoteSoak|TestFleetSoak' -v ./internal/cluster
 
 # bench runs the SMO hot-path benchmark suite at 1 and 4 threads and
 # records ns/op + allocs/op in BENCH_smo.json (via cmd/benchjson).

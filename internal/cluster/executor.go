@@ -5,10 +5,13 @@
 // prepare reserves a mesh port, start dials the generation's tcpmpi world
 // and trains the assigned shard ranks with core.RunShard — streaming
 // epoch-boundary checkpoints back over the lease as it goes — and abort
-// interrupts in-flight solves at the next iteration poll. Killing the
-// process (`kill -9` included) simply stops the lease heartbeats; the
-// coordinator's expiry callback then drives shrink/respawn recovery from
-// the checkpoints this executor already streamed.
+// interrupts in-flight solves at the next iteration poll. With fleet
+// telemetry on, each shard ships its solve span (and, at full gang width,
+// the start barrier's cross-process flow edges) for the coordinator's
+// merged trace. Killing the process (`kill -9` included) simply stops the
+// lease heartbeats; the coordinator's expiry callback then drives
+// shrink/respawn recovery from the checkpoints this executor already
+// streamed.
 package cluster
 
 import (
@@ -25,13 +28,14 @@ import (
 	"casvm/internal/smo"
 	"casvm/internal/tcpmpi"
 	"casvm/internal/telemetry/fleet"
+	"casvm/internal/trace"
 )
 
 // ExecutorOptions tunes a RunExecutor worker.
 type ExecutorOptions struct {
-	// Fleet streams fleet telemetry (hello, epoch reports, metrics) for
-	// every shard rank the executor trains, letting the coordinator's
-	// collector merge traces across gang generations.
+	// Fleet streams fleet telemetry (hello, epoch reports, trace spans,
+	// metrics) for every shard rank the executor trains, letting the
+	// coordinator's collector merge traces across gang generations.
 	Fleet bool
 
 	// IterDelay throttles the solver by sleeping this long every
@@ -136,8 +140,7 @@ func genKey(job string, gen int) string { return fmt.Sprintf("%s/%d", job, gen) 
 
 // onPrepare reserves a TCP port for the generation's mesh listener and
 // answers with the address. The listener is closed immediately — the port
-// stays effectively reserved until tcpmpi re-binds it, the same
-// reserve-then-rebind trick examples/distributed uses.
+// stays effectively reserved until tcpmpi re-binds it.
 func (e *executor) onPrepare(payload []byte) {
 	m, err := decodeExecPrepare(payload)
 	if err != nil {
@@ -200,11 +203,20 @@ func (e *executor) runGeneration(m execStart, meshAddr string) {
 	}
 	peers := append([]string(nil), m.Peers...)
 	peers[m.MeshRank] = meshAddr
+	// The mesh records flow edges by mesh rank. Mesh rank i is shard rank
+	// i only at full width, where beginGeneration hands every worker
+	// exactly its own mesh rank; only then are the edges valid in the
+	// job's trace, so only then does the mesh record.
+	var meshTL *trace.Timeline
+	if e.opts.Fleet && len(peers) == m.Spec.P && len(m.Ranks) == 1 && m.Ranks[0] == m.MeshRank {
+		meshTL = trace.NewTimeline(m.Spec.P)
+	}
 	comm, err := tcpmpi.DialOptions(m.MeshRank, peers, tcpmpi.Options{
 		HeartbeatInterval:   500 * time.Millisecond,
 		HeartbeatTimeout:    2 * time.Second,
 		ReconnectAttempts:   2,
 		ReconnectBackoffMax: 500 * time.Millisecond,
+		Timeline:            meshTL,
 	})
 	if err != nil {
 		// A gang member died (or never prepared) before the mesh came
@@ -236,9 +248,13 @@ func (e *executor) runGeneration(m execStart, meshAddr string) {
 			return
 		}
 		var rep *fleet.Reporter
+		var tl *trace.Timeline
 		if e.opts.Fleet {
 			if rep, err = fleet.NewReporter(e.l, m.Job, rank, m.Spec.P); err != nil {
 				e.logf("executor: fleet hello: %v", err)
+			}
+			if tl = meshTL; tl == nil {
+				tl = trace.NewTimeline(m.Spec.P)
 			}
 		}
 		epoch := 0
@@ -273,6 +289,8 @@ func (e *executor) runGeneration(m execStart, meshAddr string) {
 				return nil
 			}
 		}
+		rec := tl.Rank(rank)
+		solve := rec.Begin(trace.CatSolver, "shard-solve")
 		sh, err := core.RunShard(ds.X, ds.Y, pr, core.ShardRun{
 			Rank: rank, P: m.Spec.P,
 			CheckpointEvery: m.CheckpointEvery,
@@ -287,11 +305,20 @@ func (e *executor) runGeneration(m execStart, meshAddr string) {
 			e.sendFail(m, rank, true, err.Error())
 			return
 		}
+		rec.End(solve)
 		virt += sh.VirtSec
 		var buf bytes.Buffer
 		if err := model.SaveSet(&buf, model.Single(sh.Model, sh.Center)); err != nil {
 			e.sendFail(m, rank, true, fmt.Sprintf("serialize shard model: %v", err))
 			return
+		}
+		// Spans go out before the rank-done frame: frames on one lease
+		// arrive in order, so a job's trace is complete by the time its
+		// last shard lands (casvm-cluster -fleet-trace writes it then).
+		if rep != nil {
+			if err := rep.ShipTimeline(tl, 10*time.Second); err != nil {
+				e.logf("executor: fleet spans: %v", err)
+			}
 		}
 		done := marshalExec(execRankDone{
 			Job: m.Job, Gen: m.Gen, Rank: rank,

@@ -3,8 +3,8 @@
 // The coordinator drives a remote job's gang through a small JSON frame
 // vocabulary in the 103–109 tag block (clear of the 101/102 submit pair and
 // the fleet plane's 120–124): prepare → mesh-addr → start bootstraps each
-// generation (the dynamic-discovery handshake from examples/distributed,
-// run over the lease instead of a bespoke registrar), then checkpoint and
+// generation's tcpmpi mesh over the leases (each worker reserves a port and
+// the coordinator answers with the full peer table), then checkpoint and
 // rank-done frames stream worker → coordinator until the generation either
 // completes or is aborted for a re-gang.
 //

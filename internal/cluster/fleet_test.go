@@ -136,3 +136,49 @@ func TestFleetFramesOverCoordinator(t *testing.T) {
 		t.Fatalf("submit after fleet traffic: %v", err)
 	}
 }
+
+// TestRemoteJobShipsFleetTrace: executors with fleet telemetry on ship
+// each shard's solve span, and at full gang width the start barrier's
+// cross-process flow edges, before the shard's rank-done frame. So the
+// job's trace is complete the moment the job finishes — the point where
+// casvm-cluster -fleet-trace writes it — and merges into a trace that
+// parses strictly.
+func TestRemoteJobShipsFleetTrace(t *testing.T) {
+	c := newTestCoordinator(t, time.Second)
+	startExecutors(t, c, 2, 0)
+	j, err := c.Submit(remoteSpec("traced", 2, 160, "shrink"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(120 * time.Second):
+		t.Fatal("remote job never finished")
+	}
+	if res := j.Result(); res.Err != "" {
+		t.Fatalf("remote job failed: %s", res.Err)
+	}
+	fl := c.Fleet()
+	if !fl.HasTrace(j.ID()) || !fl.StreamComplete(j.ID()) {
+		t.Fatalf("finished job's trace: HasTrace=%v StreamComplete=%v, want both",
+			fl.HasTrace(j.ID()), fl.StreamComplete(j.ID()))
+	}
+
+	var buf bytes.Buffer
+	if err := fl.WriteMergedTrace(j.ID(), &buf); err != nil {
+		t.Fatal(err)
+	}
+	x, err := trace.ReadTraceExtra(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("merged trace does not parse strictly: %v", err)
+	}
+	if x.P != 2 || x.Timebase != trace.TimebaseWall {
+		t.Fatalf("merged trace: P=%d timebase=%q, want 2 and %q", x.P, x.Timebase, trace.TimebaseWall)
+	}
+	if len(x.Edges) != 1 || x.Edges[0].Src != 0 || x.Edges[0].Dst != 1 {
+		t.Fatalf("edges %+v, want the start barrier's one 0→1 hop", x.Edges)
+	}
+	if n := bytes.Count(buf.Bytes(), []byte(`"name":"shard-solve"`)); n != 2 {
+		t.Fatalf("%d shard-solve spans in the merged trace, want 2", n)
+	}
+}

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -11,6 +13,8 @@ import (
 
 	"casvm/internal/core"
 	"casvm/internal/tcpmpi"
+	"casvm/internal/trace"
+	"casvm/internal/trace/critpath"
 )
 
 // TestClusterSoak churns a live coordinator for a bounded interval:
@@ -282,5 +286,122 @@ func TestRemoteSoak(t *testing.T) {
 		snap["cluster_lease_expiries_total"]+snap["cluster_worker_leaves_total"])
 	if churns < 1 {
 		t.Error("remote soak produced no kills; churn loop never bit")
+	}
+}
+
+// TestFleetSoak is the full-stack fleet acceptance run: a Remote RA-CA job
+// over four real executor processes, one of them slowed by a 10× larger
+// per-iteration delay. Every shard streams its epochs and spans over its
+// lease, and the coordinator probes each process's clock and merges one
+// trace. The slow shard must be flagged as a straggler, and the merged
+// trace must parse strictly, keep every cross-process edge causal after
+// rebasing, and analyze end to end, with the injected delay dominating a
+// critical path whose decomposition telescopes to the makespan. Gated
+// behind CASVM_SOAK_CLUSTER=1; run via `make soak-cluster`.
+func TestFleetSoak(t *testing.T) {
+	if os.Getenv("CASVM_SOAK_CLUSTER") != "1" {
+		t.Skip("set CASVM_SOAK_CLUSTER=1 (or `make soak-cluster`) to run the multi-process fleet soak")
+	}
+	c := newTestCoordinator(t, 2*time.Second)
+	// Every shard solve takes more than 100 iterations, so 10ms each keeps
+	// the slow one above a second; 1ms keeps the gang's median epoch above
+	// the straggler detector's 1ms floor. The slow executor registers
+	// last, so its lease id is known and it is not the start barrier's
+	// root: the critical path then has a cross-process edge to cross.
+	for i := 0; i < 3; i++ {
+		spawnWorkerProcess(t, c.Addr(), time.Millisecond)
+	}
+	waitFor(t, "fast executors registered", func() bool { return len(c.Workers()) == 3 })
+	fast := map[int]bool{}
+	for _, w := range c.Workers() {
+		fast[w.ID] = true
+	}
+	spawnWorkerProcess(t, c.Addr(), 10*time.Millisecond)
+	waitFor(t, "slow executor registered", func() bool { return len(c.Workers()) == 4 })
+	slow := -1
+	for _, w := range c.Workers() {
+		if !fast[w.ID] {
+			slow = w.ID
+		}
+	}
+
+	j, err := c.Submit(remoteSpec("fleet-soak", 4, 240, "shrink"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(180 * time.Second):
+		t.Fatalf("fleet soak job never finished (progress %+v)", j.Remote())
+	}
+	if res := j.Result(); res.Err != "" || res.Generations != 1 {
+		t.Fatalf("fleet soak job: err=%q generations=%d, want one clean generation", res.Err, res.Generations)
+	}
+	// One generation at full width: shard rank i ran on mesh member i.
+	slowRank := -1
+	for i, id := range j.Remote().Workers {
+		if id == slow {
+			slowRank = i
+		}
+	}
+	if slowRank < 0 {
+		t.Fatalf("slow executor %d not in the gang %v", slow, j.Remote().Workers)
+	}
+
+	fl := c.Fleet()
+	flagged := false
+	events, _ := fl.Events(0)
+	for _, e := range events {
+		if e.Job == j.ID() && e.Rank == slowRank {
+			flagged = true
+		}
+	}
+	if !flagged {
+		t.Fatalf("no straggler verdict for the slow executor's rank %d: %+v", slowRank, events)
+	}
+
+	var buf bytes.Buffer
+	if err := fl.WriteMergedTrace(j.ID(), &buf); err != nil {
+		t.Fatal(err)
+	}
+	x, err := trace.ReadTraceExtra(&buf)
+	if err != nil {
+		t.Fatalf("merged trace does not parse strictly: %v", err)
+	}
+	if x.P != 4 {
+		t.Fatalf("merged trace P = %d, want 4", x.P)
+	}
+	if x.Timebase != trace.TimebaseWall {
+		t.Fatalf("timebase %q, want %q", x.Timebase, trace.TimebaseWall)
+	}
+	if len(x.ClockOffsetsNs) != 4 {
+		t.Fatalf("clock offsets %v, want 4 entries", x.ClockOffsetsNs)
+	}
+	if len(x.Edges) == 0 {
+		t.Fatal("merged trace has no cross-process flow edges")
+	}
+	for _, e := range x.Edges {
+		if e.RecvVirtSec < e.SendVirtSec || e.RecvWallNs < e.SendWallNs {
+			t.Fatalf("causality violated after rebase: %+v", e)
+		}
+	}
+	a, err := critpath.Analyze(critpath.FromExtra(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("fleet soak: %d straggler verdict(s); critical path %.3fs ending on rank %d (%d cross-rank hops): comp %.3fs, latency %.3fs, wait %.3fs",
+		len(events), a.MakespanSec, a.EndRank, a.Hops, a.CompSec, a.LatencySec, a.WaitSec)
+	// The slow shard's injected delay (over a second) dominates the
+	// makespan; the path ends on its rank and reaches it from the start
+	// barrier's root over real cross-process edges.
+	if a.MakespanSec < 0.9 || a.EndRank != slowRank {
+		t.Fatalf("makespan %.3fs ending on rank %d, want ≥ 0.9s on rank %d (straggler not on the path?)",
+			a.MakespanSec, a.EndRank, slowRank)
+	}
+	if a.Hops < 1 {
+		t.Fatal("critical path crosses no process boundary")
+	}
+	if diff := math.Abs(a.Sum() - a.MakespanSec); diff > 1e-9*a.MakespanSec {
+		t.Fatalf("decomposition %.9fs != makespan %.9fs", a.Sum(), a.MakespanSec)
 	}
 }

@@ -35,7 +35,7 @@ type WorkerInfo struct {
 // RegistrarConfig wires a Registrar to its consumer. Callbacks are invoked
 // from the registrar's goroutines, serially per worker; they must not block
 // for long (they hold up that worker's frame stream, not the whole
-// registrar).
+// registrar), and must not call Registrar.Close, which waits for them.
 type RegistrarConfig struct {
 	// LeaseTTL is how long a lease survives without a heartbeat renewal
 	// before it expires. 0 means 6s.
@@ -104,12 +104,14 @@ type Registrar struct {
 	ln  net.Listener
 	cfg RegistrarConfig
 
-	mu     sync.Mutex
-	leases map[int]*lease
-	nextID int
+	mu         sync.Mutex
+	leases     map[int]*lease
+	handshakes map[net.Conn]bool // accepted, registration hello not yet read
+	nextID     int
 
 	done     chan struct{}
 	doneOnce sync.Once
+	wg       sync.WaitGroup // accept, expiry and per-lease goroutines
 }
 
 // NewRegistrar listens on addr (":0" picks a free port) and serves worker
@@ -120,11 +122,13 @@ func NewRegistrar(addr string, cfg RegistrarConfig) (*Registrar, error) {
 		return nil, fmt.Errorf("tcpmpi: registrar listen %s: %w", addr, err)
 	}
 	r := &Registrar{
-		ln:     ln,
-		cfg:    cfg.withDefaults(),
-		leases: map[int]*lease{},
-		done:   make(chan struct{}),
+		ln:         ln,
+		cfg:        cfg.withDefaults(),
+		leases:     map[int]*lease{},
+		handshakes: map[net.Conn]bool{},
+		done:       make(chan struct{}),
 	}
+	r.wg.Add(2)
 	go r.acceptLoop()
 	go r.expiryLoop()
 	return r, nil
@@ -133,7 +137,10 @@ func NewRegistrar(addr string, cfg RegistrarConfig) (*Registrar, error) {
 // Addr returns the bound listen address.
 func (r *Registrar) Addr() string { return r.ln.Addr().String() }
 
-// Close stops the registrar and closes every registered connection.
+// Close stops the registrar, closes every connection, and waits for the
+// registrar's goroutines to exit, so no callback is still running once
+// Close returns. The leaves and expiries of the connections it closes are
+// not reported.
 func (r *Registrar) Close() error {
 	r.doneOnce.Do(func() { close(r.done) })
 	err := r.ln.Close()
@@ -143,11 +150,15 @@ func (r *Registrar) Close() error {
 		ls = append(ls, l)
 	}
 	r.leases = map[int]*lease{}
+	for conn := range r.handshakes {
+		conn.Close()
+	}
 	r.mu.Unlock()
 	for _, l := range ls {
-		l.takeGone() // suppress leave/expire callbacks during shutdown
+		l.takeGone()
 		l.conn.Close()
 	}
+	r.wg.Wait()
 	return err
 }
 
@@ -211,6 +222,7 @@ func (r *Registrar) drop(l *lease) {
 }
 
 func (r *Registrar) acceptLoop() {
+	defer r.wg.Done()
 	for {
 		conn, err := r.ln.Accept()
 		if err != nil {
@@ -223,6 +235,15 @@ func (r *Registrar) acceptLoop() {
 			}
 			return
 		}
+		r.mu.Lock()
+		if r.isClosed() {
+			r.mu.Unlock()
+			conn.Close()
+			return
+		}
+		r.handshakes[conn] = true
+		r.mu.Unlock()
+		r.wg.Add(1)
 		go r.register(conn)
 	}
 }
@@ -230,20 +251,26 @@ func (r *Registrar) acceptLoop() {
 // register runs the acceptor side of the registration handshake and, on
 // success, the connection's frame loop.
 func (r *Registrar) register(conn net.Conn) {
+	defer r.wg.Done()
 	var buf [helloLen]byte
 	conn.SetReadDeadline(time.Now().Add(DialTimeout))
-	if _, err := io.ReadFull(conn, buf[:]); err != nil {
-		conn.Close()
-		return
-	}
+	_, err := io.ReadFull(conn, buf[:])
 	conn.SetReadDeadline(time.Time{})
-	h, err := parseHello(buf[:])
-	if err != nil || h.flags&(helloRegister|helloClient) == 0 {
-		conn.Close() // not a registration hello
-		return
+	var h helloMsg
+	if err == nil {
+		h, err = parseHello(buf[:])
 	}
 
 	r.mu.Lock()
+	delete(r.handshakes, conn)
+	// Not a registration hello, or Close already ran: a lease added after
+	// Close snapshotted the leases would keep its frame loop (and Close)
+	// waiting forever.
+	if err != nil || h.flags&(helloRegister|helloClient) == 0 || r.isClosed() {
+		r.mu.Unlock()
+		conn.Close()
+		return
+	}
 	id := r.nextID
 	r.nextID++
 	l := &lease{
@@ -313,6 +340,7 @@ func (r *Registrar) frameLoop(l *lease) {
 
 // expiryLoop scans for leases past their TTL.
 func (r *Registrar) expiryLoop() {
+	defer r.wg.Done()
 	ticker := time.NewTicker(r.cfg.CheckInterval)
 	defer ticker.Stop()
 	for {
@@ -337,7 +365,7 @@ func (r *Registrar) expiryLoop() {
 		r.mu.Unlock()
 		for _, l := range expired {
 			l.conn.Close()
-			if r.cfg.OnExpire != nil {
+			if r.cfg.OnExpire != nil && !r.isClosed() {
 				r.cfg.OnExpire(l.info)
 			}
 		}

@@ -4,10 +4,9 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"casvm/internal/faults"
 )
 
 // leaseEvents collects registrar callbacks for assertions.
@@ -117,6 +116,81 @@ func TestLeaseLifecycle(t *testing.T) {
 	waitFor(t, "leave callback", func() bool { _, ex, lv := ev.counts(); return lv == 1 && ex == 0 })
 	if ws := reg.Workers(); len(ws) != 0 {
 		t.Fatalf("worker still listed after leave: %v", ws)
+	}
+}
+
+// TestCloseWaitsForCallbacks: a leave callback that is already running
+// when Close is called finishes before Close returns, so a consumer
+// tearing down after Close never sees one of its callbacks run late.
+func TestCloseWaitsForCallbacks(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var finished atomic.Bool
+	reg, err := NewRegistrar("localhost:0", RegistrarConfig{
+		LeaseTTL: time.Minute,
+		OnLeave: func(WorkerInfo) {
+			close(entered)
+			<-release
+			finished.Store(true)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := Register(reg.Addr(), RegisterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("leave callback never started")
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		reg.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		close(release)
+		t.Fatal("Close returned while an OnLeave callback was still running")
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the callback finished")
+	}
+	if !finished.Load() {
+		t.Fatal("Close returned before the callback did")
+	}
+}
+
+// TestCloseDoesNotWaitOnHandshake: a connection that never sends its
+// registration hello does not hold Close for the handshake timeout.
+func TestCloseDoesNotWaitOnHandshake(t *testing.T) {
+	reg, err := NewRegistrar("localhost:0", RegistrarConfig{LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", reg.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	waitFor(t, "handshake accepted", func() bool {
+		reg.mu.Lock()
+		defer reg.mu.Unlock()
+		return len(reg.handshakes) == 1
+	})
+	start := time.Now()
+	reg.Close()
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Close took %v behind a silent handshake", d)
 	}
 }
 
@@ -277,48 +351,6 @@ func TestMeshRejectsRegistrationHello(t *testing.T) {
 	// The mesh must reject the hello: rank 1 never appears, Dial times out.
 	if err := <-done; err == nil {
 		t.Fatal("mesh accepted a registration hello as rank 1's handshake")
-	}
-}
-
-// TestJitterDeterministic: with a seeded fault-schedule jitter source
-// installed, reconnect backoff jitter is a pure function of (seed, rank) —
-// two Comms draw identical sequences, so a replayed fault schedule
-// reproduces identical reconnect timing. Without the hook the global-RNG
-// path stays bounded by the ceiling.
-func TestJitterDeterministic(t *testing.T) {
-	sched := faults.Schedule{Seed: 42}
-	a := &Comm{opt: Options{ReconnectJitter: sched.JitterFunc(1)}.withDefaults()}
-	b := &Comm{opt: Options{ReconnectJitter: sched.JitterFunc(1)}.withDefaults()}
-	other := &Comm{opt: Options{ReconnectJitter: sched.JitterFunc(2)}.withDefaults()}
-	def := &Comm{opt: Options{}.withDefaults()}
-
-	max := 50 * time.Millisecond
-	var sa, sb, so []time.Duration
-	for i := 0; i < 32; i++ {
-		sa = append(sa, a.jitter(max))
-		sb = append(sb, b.jitter(max))
-		so = append(so, other.jitter(max))
-		if d := def.jitter(max); d < 0 || d > max {
-			t.Fatalf("default jitter %v outside [0, %v]", d, max)
-		}
-	}
-	differs := false
-	for i := range sa {
-		if sa[i] != sb[i] {
-			t.Fatalf("same-seed jitter diverged at draw %d: %v != %v", i, sa[i], sb[i])
-		}
-		if sa[i] < 0 || sa[i] > max {
-			t.Fatalf("seeded jitter %v outside [0, %v]", sa[i], max)
-		}
-		if sa[i] != so[i] {
-			differs = true
-		}
-	}
-	if !differs {
-		t.Fatal("different ranks drew identical jitter sequences")
-	}
-	if a.jitter(0) != 0 {
-		t.Fatal("zero ceiling must yield zero jitter")
 	}
 }
 

@@ -228,62 +228,6 @@ func TestReconnectAttemptsBounded(t *testing.T) {
 	}
 }
 
-// TestPeersSubsetMesh: workers configured with Peers: []int{0} only dial
-// the coordinator — the full mesh never forms — yet worker↔coordinator
-// traffic flows both ways, and worker↔worker operations fail fast instead
-// of hanging on a connection that does not exist.
-func TestPeersSubsetMesh(t *testing.T) {
-	addrs := freeAddrs(t, 3)
-	opts := []Options{
-		{Peers: []int{1, 2}},
-		{Peers: []int{0}},
-		{Peers: []int{0}},
-	}
-	var wg sync.WaitGroup
-	comms := make([]*Comm, 3)
-	errs := make([]error, 3)
-	wg.Add(3)
-	for r := 0; r < 3; r++ {
-		go func(rank int) {
-			defer wg.Done()
-			comms[rank], errs[rank] = DialOptions(rank, addrs, opts[rank])
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d dial: %v", r, err)
-		}
-	}
-	for _, c := range comms {
-		defer c.Close()
-	}
-
-	for _, w := range []int{1, 2} {
-		if err := comms[w].Send(0, w, []byte("up")); err != nil {
-			t.Fatalf("worker %d → coordinator: %v", w, err)
-		}
-		if _, err := comms[0].Recv(w, w); err != nil {
-			t.Fatalf("coordinator ← worker %d: %v", w, err)
-		}
-		if err := comms[0].Send(w, 10+w, []byte("down")); err != nil {
-			t.Fatalf("coordinator → worker %d: %v", w, err)
-		}
-		if _, err := comms[w].Recv(0, 10+w); err != nil {
-			t.Fatalf("worker %d ← coordinator: %v", w, err)
-		}
-	}
-
-	if err := comms[1].Send(2, 99, []byte("x")); err == nil ||
-		!strings.Contains(err.Error(), "not a configured peer") {
-		t.Fatalf("worker→worker send: %v, want configured-peer error", err)
-	}
-	if _, err := comms[1].Recv(2, 99); err == nil ||
-		!strings.Contains(err.Error(), "not a configured peer") {
-		t.Fatalf("worker→worker recv: %v, want configured-peer error", err)
-	}
-}
-
 // TestFreshIncarnationResurrects: after a worker process dies, a brand-new
 // process re-dials with the hello's fresh flag set. The coordinator resets
 // its per-peer sequence state, so the new incarnation's frames — which

@@ -69,8 +69,8 @@ type jobState struct {
 }
 
 // Collector is the coordinator side of the fleet plane. Route lease
-// frames into HandleFrame (internal/cluster/wire.go does this for
-// casvm-cluster; examples/distributed wires it onto its own registrar).
+// frames into HandleFrame (internal/cluster/wire.go does this for the
+// cluster coordinator).
 type Collector struct {
 	cfg Config
 
@@ -431,8 +431,8 @@ func (c *Collector) HasTrace(job string) bool {
 }
 
 // StreamComplete reports whether every rank of the job's announced world
-// has Done-marked its span stream — the launcher-side signal that a
-// merged trace would be complete.
+// has Done-marked its span stream — the signal that a merged trace would
+// be complete.
 func (c *Collector) StreamComplete(job string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

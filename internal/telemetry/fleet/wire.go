@@ -26,7 +26,7 @@ import (
 // Fleet control-frame tags. They share the lease-frame tag space with the
 // cluster's job control (tagSubmit=101, tagResult=102 in
 // internal/cluster/wire.go, which routes this block to the Collector) and
-// the mesh-discovery tags of examples/distributed (77–79).
+// its remote-execution frames (103–109, internal/cluster/execwire.go).
 const (
 	// TagHello announces a worker's (job, rank, p) before any other fleet
 	// frame; it also triggers the coordinator's clock probe of this lease.
